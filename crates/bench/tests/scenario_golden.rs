@@ -12,6 +12,7 @@
 //!    search reproduces `crates/bench/golden/search_trace.txt` bit for bit.
 
 use ribbon::scenario::Scenario;
+use ribbon::RibbonSearch;
 use ribbon_bench::perf::{
     hotpath_spec, online_spec, run_hotpath_search, trace_lines, HOTPATH_EVALUATIONS,
 };
@@ -97,4 +98,42 @@ fn facade_search_reproduces_the_golden_trace_bit_for_bit() {
         lines.iter().map(String::as_str).collect::<Vec<_>>(),
         "façade-driven search diverged from the golden trace"
     );
+}
+
+/// The acquisition scan's work counters are deterministic: the golden hot-path search
+/// bounds and solves exactly as many candidates with one scan thread as with two (the
+/// skip threshold never depends on thread scheduling), and reproduces the golden trace
+/// at both counts. Run with
+/// `cargo test --release -p ribbon-bench --test scenario_golden -- --ignored`.
+#[test]
+#[ignore = "release-scale scenario; two full hot-path searches"]
+fn hotpath_scan_work_is_identical_across_scan_threads() {
+    let golden_path = repo_root().join("crates/bench/golden/search_trace.txt");
+    let golden = std::fs::read_to_string(&golden_path)
+        .unwrap_or_else(|e| panic!("{}: {e}", golden_path.display()));
+    let run = |threads: usize| {
+        let mut spec = hotpath_spec(true);
+        spec.planner.scan_threads = Some(threads);
+        let scenario = spec.compile().expect("the hot-path spec compiles");
+        let evaluator = scenario.build_evaluator();
+        let search = RibbonSearch::new(scenario.search_settings.clone());
+        let mut bo = search.make_optimizer(&evaluator);
+        let trace = search.run_with(&evaluator, &mut bo, scenario.spec.seed);
+        assert_eq!(
+            golden.lines().collect::<Vec<_>>(),
+            trace_lines(&trace)
+                .iter()
+                .map(String::as_str)
+                .collect::<Vec<_>>(),
+            "search at {threads} scan threads diverged from the golden trace"
+        );
+        bo.scan_work()
+    };
+    let serial = run(1);
+    assert!(serial.solved > 0 && serial.bounded > 0, "{serial:?}");
+    assert!(
+        serial.solved < serial.bounded,
+        "the skip never fired: {serial:?}"
+    );
+    assert_eq!(run(2), serial, "scan work depends on the thread count");
 }

@@ -47,6 +47,54 @@ impl Acquisition {
             Acquisition::UpperConfidenceBound { kappa } => upper_confidence_bound(posterior, kappa),
         }
     }
+
+    /// `true` when [`Acquisition::score_upper_bound`] can bound the score from the mean
+    /// and an upper bound on the variance: EI, and UCB with a finite `κ ≥ 0`. PI is not
+    /// monotone in the variance (it falls with σ once the mean beats the incumbent).
+    pub(crate) fn bounds_by_variance(&self) -> bool {
+        match *self {
+            Acquisition::ExpectedImprovement { .. } => true,
+            Acquisition::ProbabilityOfImprovement { .. } => false,
+            Acquisition::UpperConfidenceBound { kappa } => kappa.is_finite() && kappa >= 0.0,
+        }
+    }
+
+    /// An upper bound on the computed `score(&Posterior { mean, variance }, best)` over
+    /// every mean in `[mean_lo, mean_hi]` and every variance in `[0, variance_bound]`;
+    /// `+∞` when [`Acquisition::bounds_by_variance`] is `false`.
+    ///
+    /// * UCB: `μ + κ·√v` is built from monotone IEEE operations, so its value at the
+    ///   corner `(mean_hi, variance_bound)` is itself a bound.
+    /// * EI: mathematically EI grows with both μ and σ, but the computed score uses the
+    ///   Abramowitz & Stegun `erf` (absolute error below 1.5e-7, so below 0.75e-7 in Φ),
+    ///   which can move it by up to `|μ − best − ξ|·0.75e-7` either way. The bound is the
+    ///   score at the corner plus that error at the corner and at the largest
+    ///   `|μ − best − ξ|` of the range, plus a rounding term.
+    pub(crate) fn score_upper_bound(
+        &self,
+        mean_lo: f64,
+        mean_hi: f64,
+        variance_bound: f64,
+        best: f64,
+    ) -> f64 {
+        let corner = Posterior {
+            mean: mean_hi,
+            variance: variance_bound,
+        };
+        match *self {
+            Acquisition::ExpectedImprovement { xi } => {
+                let at_corner = (mean_hi - best - xi).abs();
+                let widest = at_corner.max((mean_lo - best - xi).abs());
+                expected_improvement(&corner, best, xi)
+                    + 0.75e-7 * (at_corner + widest)
+                    + 1e-12 * (widest + corner.std_dev())
+            }
+            Acquisition::UpperConfidenceBound { kappa } if self.bounds_by_variance() => {
+                upper_confidence_bound(&corner, kappa)
+            }
+            _ => f64::INFINITY,
+        }
+    }
 }
 
 /// Expected improvement of a Gaussian posterior over incumbent `best` (maximization form):
@@ -191,6 +239,26 @@ mod tests {
         fn prop_poi_in_unit_interval(mean in -10.0f64..10.0, var in 0.0f64..25.0, best in -10.0f64..10.0) {
             let v = probability_of_improvement(&post(mean, var), best, 0.0);
             prop_assert!((0.0..=1.0).contains(&v));
+        }
+
+        #[test]
+        fn prop_score_upper_bound_covers_the_box(
+            lo in -2.0f64..2.0, width in 0.0f64..1.0, t in 0.0f64..1.0,
+            bound in 0.0f64..1.0, v in 0.0f64..1.0, best in -2.0f64..2.0,
+        ) {
+            let hi = lo + width;
+            let mean = lo + t * width;
+            let variance = bound * v;
+            for acq in [
+                Acquisition::ExpectedImprovement { xi: 0.01 },
+                Acquisition::UpperConfidenceBound { kappa: 1.5 },
+            ] {
+                let score = acq.score(&post(mean, variance), best);
+                prop_assert!(score <= acq.score_upper_bound(lo, hi, bound, best));
+            }
+            let pi = Acquisition::ProbabilityOfImprovement { xi: 0.0 };
+            prop_assert!(!pi.bounds_by_variance());
+            prop_assert_eq!(pi.score_upper_bound(lo, hi, bound, best), f64::INFINITY);
         }
 
         #[test]

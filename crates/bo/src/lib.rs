@@ -16,6 +16,7 @@
 pub mod acquisition;
 pub mod ask_tell;
 pub mod optimizer;
+mod scan;
 pub mod space;
 pub mod tpe;
 
@@ -24,5 +25,6 @@ pub use acquisition::{
 };
 pub use ask_tell::{Optimizer, Outcome};
 pub use optimizer::{BoError, BoOptimizer, BoSettings, Observation, Suggestion};
+pub use scan::ScanWork;
 pub use space::{ConfigLattice, PruneSet};
 pub use tpe::{TpeOptimizer, TpeSettings};

@@ -13,7 +13,7 @@
 //!
 //! # Hot-path structure
 //!
-//! Two per-`suggest` costs are kept incremental (with the historical from-scratch behaviour
+//! Three per-`suggest` costs are kept small (with the historical from-scratch behaviour
 //! preserved behind [`BoSettings::reuse_surrogate`] `= false` as a differential oracle):
 //!
 //! * the **open-candidate set** (un-explored, un-pruned lattice points, in lexicographic
@@ -22,14 +22,28 @@
 //!   entire lattice on every call;
 //! * the **GP surrogate** is an [`IncrementalGridGp`]: each new observation is folded into
 //!   every hyperparameter cell with a rank-1 Cholesky append (O(n²)) instead of refitting
-//!   the whole grid (O(grid · n³)), and the acquisition scan runs through the batched
-//!   [`predict_many`](ribbon_gp::GaussianProcess::predict_many) path.
+//!   the whole grid (O(grid · n³));
+//! * the **acquisition scan** is one exact blocked kernel (`crate::scan`) shared by the
+//!   argmax scan of `suggest` and the all-scores scan of batched asks. Rounded lattice
+//!   coordinates are integers, so every squared distance `r²` between a candidate and a
+//!   training input is an exact integer and the Matérn covariance is a per-ask table
+//!   `k[r²]` built with the expression `Matern52`'s `eval` applies to `sq_dist` — the
+//!   same bits `predict` computes, at the cost of integer adds and a lookup. The O(n²)
+//!   variance solve runs eight candidates at once, each lane repeating the single-point
+//!   forward substitution operation for operation. For EI and UCB the argmax scan
+//!   computes the O(n) mean first, bounds the variance by `k** − maxᵢ k*ᵢ²/(LLᵀ)ᵢᵢ`, and
+//!   solves only candidates whose bounded score reaches the best score already attained
+//!   (seeded by a fixed strided probe, so the work done never depends on thread timing);
+//!   a skipped candidate scores strictly below the maximum, so the first-maximum rule is
+//!   kept. [`BoOptimizer::scan_work`] counts the bounded and solved candidates.
 //!
-//! Both are exact optimizations: suggestions, RNG consumption, and scores are bit-identical
-//! to the from-scratch path (see `tests/incremental_gp.rs`).
+//! All three are exact optimizations: suggestions, RNG consumption, and scores are
+//! bit-identical to the from-scratch path (see `tests/incremental_gp.rs` and
+//! `crates/bo/tests/scan_differential.rs`).
 
 use crate::acquisition::Acquisition;
 use crate::ask_tell::{Optimizer, Outcome};
+use crate::scan::{map_chunks, AcquisitionScan, ScanWork};
 use crate::space::{Config, ConfigLattice, PruneSet};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
@@ -38,6 +52,10 @@ use ribbon_gp::{
 };
 use std::collections::BTreeSet;
 use std::fmt;
+
+/// Open candidates per scan chunk: the unit of work distribution and of the
+/// order-preserving reduction.
+const SCAN_CHUNK: usize = 1024;
 
 /// Errors from the BO loop.
 #[derive(Debug)]
@@ -159,6 +177,8 @@ pub struct BoOptimizer {
     /// observations already folded into it.
     surrogate: Option<IncrementalGridGp>,
     fitted_upto: usize,
+    /// Acquisition-scan work since construction.
+    scan_work: ScanWork,
 }
 
 impl BoOptimizer {
@@ -175,6 +195,7 @@ impl BoOptimizer {
             pending: Vec::new(),
             surrogate: None,
             fitted_upto: 0,
+            scan_work: ScanWork::default(),
         }
     }
 
@@ -305,115 +326,70 @@ impl BoOptimizer {
         true
     }
 
-    /// Scores one contiguous chunk of the open set sequentially and returns the chunk's
-    /// best `(global index, score)` — the first candidate attaining the maximum, matching
-    /// the from-scratch scan's tie rule. `coords` is a reusable buffer of at least
-    /// `chunk.len()` slots of `dims` coordinates each.
-    fn scan_chunk(
-        &self,
-        gp: &GaussianProcess<Rounded<Matern52>>,
-        chunk: &[Config],
-        offset: usize,
-        incumbent: f64,
-        coords: &mut [Vec<f64>],
-    ) -> Result<(usize, f64), BoError> {
-        for (slot, cfg) in coords.iter_mut().zip(chunk) {
-            for (s, &c) in slot.iter_mut().zip(cfg) {
-                *s = c as f64;
-            }
-        }
-        let posteriors = gp.predict_many(&coords[..chunk.len()])?;
-        let mut best: Option<(usize, f64)> = None;
-        for (k, posterior) in posteriors.iter().enumerate() {
-            let score = self.settings.acquisition.score(posterior, incumbent);
-            match &best {
-                Some((_, s)) if *s >= score => {}
-                _ => best = Some((offset + k, score)),
-            }
-        }
-        Ok(best.expect("chunks are non-empty"))
+    /// Acquisition-scan work since construction: candidates whose variance was bounded
+    /// and candidates that ran the O(n²) variance solve. Identical at every
+    /// [`BoSettings::scan_threads`] count.
+    pub fn scan_work(&self) -> ScanWork {
+        self.scan_work
     }
 
-    /// Maximizes the acquisition function over the open candidates with the batched
-    /// prediction path, fanning contiguous chunks out over [`BoSettings::scan_threads`]
-    /// workers.
+    /// Worker threads for the acquisition scan.
+    fn scan_threads(&self) -> usize {
+        self.settings.scan_threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+    }
+
+    /// Maximizes the acquisition function over the open candidates with the blocked scan
+    /// (see the module docs), fanning contiguous chunks out over
+    /// [`BoSettings::scan_threads`] workers.
     ///
-    /// Determinism: each chunk is scored sequentially, chunk results are reduced in chunk
-    /// order, and both levels keep the first strictly-better score — so the selected
-    /// candidate is exactly the one the serial from-scratch scan picks (first maximum in
-    /// enumeration order), for any worker count.
+    /// Determinism: each chunk is scanned sequentially against a threshold seeded before
+    /// the fan-out, chunk results are reduced in chunk order, and both levels keep the
+    /// first strictly-better score — so the selected candidate is exactly the one the
+    /// serial from-scratch scan picks (first maximum in enumeration order), for any
+    /// worker count.
     fn scan_open(
         &self,
         gp: &GaussianProcess<Rounded<Matern52>>,
         incumbent: f64,
-    ) -> Result<Suggestion, BoError> {
-        // Chunked so the coordinate buffers stay small and warm regardless of lattice size.
-        const CHUNK: usize = 1024;
-        let dims = self.lattice.dims();
-        let num_chunks = self.open.len().div_ceil(CHUNK);
-        let workers = self
-            .settings
-            .scan_threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .clamp(1, num_chunks);
-
+    ) -> Result<(Suggestion, ScanWork), BoError> {
+        let scan = AcquisitionScan::new(
+            gp,
+            self.lattice.bounds(),
+            self.settings.acquisition,
+            incumbent,
+        );
+        let mut work = ScanWork::default();
+        let floor = scan.probe_floor(&self.open, &mut work)?;
+        let chunks = map_chunks(
+            &self.open,
+            SCAN_CHUNK,
+            self.scan_threads(),
+            || scan.scratch(),
+            |scratch, offset, chunk| {
+                let mut w = ScanWork::default();
+                let best = scan.best_of(chunk, floor, scratch, &mut w);
+                (best.map(|b| b.map(|(k, score)| (offset + k, score))), w)
+            },
+        );
         let mut best: Option<(usize, f64)> = None;
-        if workers <= 1 {
-            let mut coords: Vec<Vec<f64>> = vec![vec![0.0; dims]; CHUNK.min(self.open.len())];
-            for (chunk_idx, chunk) in self.open.chunks(CHUNK).enumerate() {
-                let local =
-                    self.scan_chunk(gp, chunk, chunk_idx * CHUNK, incumbent, &mut coords)?;
-                match &best {
-                    Some((_, s)) if *s >= local.1 => {}
-                    _ => best = Some(local),
-                }
-            }
-        } else {
-            // Mirrors the workspace parallel engine (ribbon-cloudsim::parallel): an atomic
-            // work index over chunks, results stored per chunk, reduced in chunk order.
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            use std::sync::Mutex;
-            type ChunkSlot = Mutex<Option<Result<(usize, f64), BoError>>>;
-            let next = AtomicUsize::new(0);
-            let slots: Vec<ChunkSlot> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut coords: Vec<Vec<f64>> = vec![vec![0.0; dims]; CHUNK];
-                        loop {
-                            let ci = next.fetch_add(1, Ordering::Relaxed);
-                            if ci >= num_chunks {
-                                break;
-                            }
-                            let start = ci * CHUNK;
-                            let chunk = &self.open[start..(start + CHUNK).min(self.open.len())];
-                            let r = self.scan_chunk(gp, chunk, start, incumbent, &mut coords);
-                            *slots[ci].lock().expect("scan slot poisoned") = Some(r);
-                        }
-                    });
-                }
-            });
-            for slot in slots {
-                let local = slot
-                    .into_inner()
-                    .expect("scan slot poisoned")
-                    .expect("every chunk was scanned")?;
-                match &best {
-                    Some((_, s)) if *s >= local.1 => {}
-                    _ => best = Some(local),
-                }
+        for (local, w) in chunks {
+            work += w;
+            match (&best, local?) {
+                (_, None) => {}
+                (Some((_, s)), Some((_, score))) if *s >= score => {}
+                (_, local) => best = local,
             }
         }
-
         let (idx, score) = best.ok_or(BoError::SpaceExhausted)?;
-        Ok(Suggestion {
+        let suggestion = Suggestion {
             config: self.open[idx].clone(),
             source: SuggestionSource::Acquisition { score },
-        })
+        };
+        Ok((suggestion, work))
     }
 
     /// One full iteration of the historical (pre-incremental) hot path, kept as the
@@ -477,23 +453,13 @@ impl BoOptimizer {
             });
         }
 
-        // Incumbent for EI: best *real* observation (estimates guide, they don't set the bar).
-        let best = self
-            .observations
-            .iter()
-            .filter(|o| !o.estimated)
-            .map(|o| o.value)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let incumbent = if best.is_finite() {
-            best
-        } else {
-            self.best().map(|o| o.value).unwrap_or(0.0)
-        };
-
+        let incumbent = self.incumbent();
         if self.settings.reuse_surrogate {
             if self.refresh_surrogate() {
                 if let Some(fit) = self.surrogate.as_ref().and_then(|s| s.best()) {
-                    return self.scan_open(fit.gp, incumbent);
+                    let (suggestion, work) = self.scan_open(fit.gp, incumbent)?;
+                    self.scan_work += work;
+                    return Ok(suggestion);
                 }
             }
         } else if let Some(suggestion) = self.suggest_from_scratch(incumbent)? {
@@ -553,97 +519,39 @@ impl BoOptimizer {
         open
     }
 
-    /// Scores one chunk of the open set into `out` (same per-point math as `scan_chunk`).
-    fn scan_chunk_scores(
-        &self,
-        gp: &GaussianProcess<Rounded<Matern52>>,
-        chunk: &[Config],
-        incumbent: f64,
-        coords: &mut [Vec<f64>],
-        out: &mut Vec<f64>,
-    ) -> Result<(), BoError> {
-        for (slot, cfg) in coords.iter_mut().zip(chunk) {
-            for (s, &c) in slot.iter_mut().zip(cfg) {
-                *s = c as f64;
-            }
-        }
-        let posteriors = gp.predict_many(&coords[..chunk.len()])?;
-        out.clear();
-        out.extend(
-            posteriors
-                .iter()
-                .map(|p| self.settings.acquisition.score(p, incumbent)),
-        );
-        Ok(())
-    }
-
     /// Acquisition scores for **every** open candidate, in enumeration order, fanned over
-    /// the same chunked worker pool as `scan_open`. One full scan prices a whole batch —
-    /// the per-candidate scan cost is what made one-at-a-time suggestions the planner's
-    /// bottleneck on large lattices.
+    /// the same chunked workers as `scan_open` (without the skip: every score is needed).
+    /// One full scan prices a whole batch.
     fn scan_scores(
         &self,
         gp: &GaussianProcess<Rounded<Matern52>>,
         incumbent: f64,
-    ) -> Result<Vec<f64>, BoError> {
-        const CHUNK: usize = 1024;
-        let dims = self.lattice.dims();
-        let num_chunks = self.open.len().div_ceil(CHUNK);
-        let workers = self
-            .settings
-            .scan_threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .clamp(1, num_chunks);
-
-        if workers <= 1 {
-            let mut coords: Vec<Vec<f64>> = vec![vec![0.0; dims]; CHUNK.min(self.open.len())];
-            let mut scores = Vec::with_capacity(self.open.len());
-            let mut buf = Vec::with_capacity(CHUNK);
-            for chunk in self.open.chunks(CHUNK) {
-                self.scan_chunk_scores(gp, chunk, incumbent, &mut coords, &mut buf)?;
-                scores.extend_from_slice(&buf);
-            }
-            return Ok(scores);
-        }
-
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        type ChunkSlot = Mutex<Option<Result<Vec<f64>, BoError>>>;
-        let next = AtomicUsize::new(0);
-        let slots: Vec<ChunkSlot> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut coords: Vec<Vec<f64>> = vec![vec![0.0; dims]; CHUNK];
-                    loop {
-                        let ci = next.fetch_add(1, Ordering::Relaxed);
-                        if ci >= num_chunks {
-                            break;
-                        }
-                        let start = ci * CHUNK;
-                        let chunk = &self.open[start..(start + CHUNK).min(self.open.len())];
-                        let mut buf = Vec::with_capacity(chunk.len());
-                        let r = self
-                            .scan_chunk_scores(gp, chunk, incumbent, &mut coords, &mut buf)
-                            .map(|()| buf);
-                        *slots[ci].lock().expect("scan slot poisoned") = Some(r);
-                    }
-                });
-            }
-        });
+    ) -> Result<(Vec<f64>, ScanWork), BoError> {
+        let scan = AcquisitionScan::new(
+            gp,
+            self.lattice.bounds(),
+            self.settings.acquisition,
+            incumbent,
+        );
+        let chunks = map_chunks(
+            &self.open,
+            SCAN_CHUNK,
+            self.scan_threads(),
+            || scan.scratch(),
+            |scratch, _, chunk| {
+                let mut w = ScanWork::default();
+                let mut out = Vec::with_capacity(chunk.len());
+                let r = scan.scores_into(chunk, scratch, &mut w, &mut out);
+                (r.map(|()| out), w)
+            },
+        );
         let mut scores = Vec::with_capacity(self.open.len());
-        for slot in slots {
-            let chunk_scores = slot
-                .into_inner()
-                .expect("scan slot poisoned")
-                .expect("every chunk was scanned")?;
-            scores.extend_from_slice(&chunk_scores);
+        let mut work = ScanWork::default();
+        for (chunk_scores, w) in chunks {
+            work += w;
+            scores.extend_from_slice(&chunk_scores?);
         }
-        Ok(scores)
+        Ok((scores, work))
     }
 
     /// Greedy local-penalty batch selection over pre-computed acquisition scores: each
@@ -696,6 +604,45 @@ impl BoOptimizer {
         picks
     }
 
+    /// Incumbent for the acquisition: the best *real* observation (estimates guide, they
+    /// don't set the bar), or the best estimate when nothing was evaluated for real.
+    fn incumbent(&self) -> f64 {
+        let best = self
+            .observations
+            .iter()
+            .filter(|o| !o.estimated)
+            .map(|o| o.value)
+            .fold(f64::NEG_INFINITY, f64::max);
+        if best.is_finite() {
+            best
+        } else {
+            self.best().map(|o| o.value).unwrap_or(0.0)
+        }
+    }
+
+    /// Acquisition score of every open candidate under the up-to-date surrogate, in
+    /// [`BoOptimizer::open_candidates`] order — the scores a batched ask selects from.
+    /// `None` when no surrogate can be fitted (including before any observation); the
+    /// from-scratch configuration (`reuse_surrogate = false`) scores through `predict`.
+    pub fn open_scores(&mut self) -> Result<Option<Vec<f64>>, BoError> {
+        if self.observations.is_empty() {
+            return Ok(None);
+        }
+        let incumbent = self.incumbent();
+        if !self.settings.reuse_surrogate {
+            return self.scan_scores_from_scratch(incumbent);
+        }
+        if !self.refresh_surrogate() {
+            return Ok(None);
+        }
+        let Some(fit) = self.surrogate.as_ref().and_then(|s| s.best()) else {
+            return Ok(None);
+        };
+        let (scores, work) = self.scan_scores(fit.gp, incumbent)?;
+        self.scan_work += work;
+        Ok(Some(scores))
+    }
+
     /// Returns up to `q` distinct candidates (see [`Optimizer::ask`]).
     ///
     /// `q = 1` delegates to [`BoOptimizer::suggest`] — candidate and RNG consumption are
@@ -719,32 +666,7 @@ impl BoOptimizer {
             return Ok(self.random_batch(rng, q));
         }
 
-        let best = self
-            .observations
-            .iter()
-            .filter(|o| !o.estimated)
-            .map(|o| o.value)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let incumbent = if best.is_finite() {
-            best
-        } else {
-            self.best().map(|o| o.value).unwrap_or(0.0)
-        };
-
-        let scores = if self.settings.reuse_surrogate {
-            if self.refresh_surrogate() {
-                match self.surrogate.as_ref().and_then(|s| s.best()) {
-                    Some(fit) => Some(self.scan_scores(fit.gp, incumbent)?),
-                    None => None,
-                }
-            } else {
-                None
-            }
-        } else {
-            self.scan_scores_from_scratch(incumbent)?
-        };
-
-        let Some(scores) = scores else {
+        let Some(scores) = self.open_scores()? else {
             // Surrogate unavailable: fall back to one shuffled random batch.
             return Ok(self.random_batch(rng, q));
         };

@@ -51,10 +51,19 @@ impl ConfigLattice {
         &self.bounds
     }
 
-    /// Total number of lattice points excluding the all-zero configuration.
+    /// Total number of lattice points excluding the all-zero configuration, or `None`
+    /// when the count overflows `usize`.
+    pub fn checked_len(&self) -> Option<usize> {
+        self.bounds
+            .iter()
+            .try_fold(1usize, |total, &b| total.checked_mul(b as usize + 1))
+            .map(|total| total - 1)
+    }
+
+    /// Total number of lattice points excluding the all-zero configuration, saturating
+    /// at `usize::MAX` (see [`ConfigLattice::checked_len`]).
     pub fn len(&self) -> usize {
-        let total: usize = self.bounds.iter().map(|&b| b as usize + 1).product();
-        total.saturating_sub(1)
+        self.checked_len().unwrap_or(usize::MAX)
     }
 
     /// `true` if the lattice contains no valid (non-empty) configuration.
@@ -225,6 +234,17 @@ mod tests {
         let l = ConfigLattice::new(vec![2, 3]);
         assert_eq!(l.len(), 3 * 4 - 1);
         assert_eq!(l.enumerate().len(), l.len());
+    }
+
+    #[test]
+    fn lattice_len_is_checked_against_overflow() {
+        assert_eq!(
+            ConfigLattice::new(vec![10; 6]).checked_len(),
+            Some(1_771_560)
+        );
+        let huge = ConfigLattice::new(vec![4_000_000_000; 3]);
+        assert_eq!(huge.checked_len(), None);
+        assert_eq!(huge.len(), usize::MAX);
     }
 
     #[test]

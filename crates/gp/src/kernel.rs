@@ -12,7 +12,7 @@
 //!
 //! where `R` rounds every coordinate to the nearest integer.
 
-use ribbon_linalg::{dist, dot};
+use ribbon_linalg::{dot, sq_dist};
 
 /// A positive semi-definite covariance function over `R^d`.
 pub trait Kernel: Send + Sync {
@@ -81,13 +81,20 @@ impl Matern52 {
     pub fn default_unit() -> Self {
         Matern52::new(1.0, 1.0)
     }
+
+    /// Covariance at squared distance `r2`: the one expression [`Kernel::eval`] applies to
+    /// `sq_dist(a, b)`, so `eval(a, b) == eval_sq_dist(sq_dist(a, b))` bit for bit. The
+    /// acquisition scan tabulates it over the integer squared distances of a lattice.
+    pub fn eval_sq_dist(&self, r2: f64) -> f64 {
+        let r = r2.sqrt() / self.length_scale;
+        let sqrt5_r = 5.0_f64.sqrt() * r;
+        self.variance * (1.0 + sqrt5_r + 5.0 * r * r / 3.0) * (-sqrt5_r).exp()
+    }
 }
 
 impl Kernel for Matern52 {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r = dist(a, b) / self.length_scale;
-        let sqrt5_r = 5.0_f64.sqrt() * r;
-        self.variance * (1.0 + sqrt5_r + 5.0 * r * r / 3.0) * (-sqrt5_r).exp()
+        self.eval_sq_dist(sq_dist(a, b))
     }
 
     fn diag(&self, _a: &[f64]) -> f64 {
@@ -122,7 +129,7 @@ impl SquaredExponential {
 
 impl Kernel for SquaredExponential {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r2 = ribbon_linalg::sq_dist(a, b) / (self.length_scale * self.length_scale);
+        let r2 = sq_dist(a, b) / (self.length_scale * self.length_scale);
         self.variance * (-0.5 * r2).exp()
     }
 
@@ -162,7 +169,7 @@ impl RationalQuadratic {
 
 impl Kernel for RationalQuadratic {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r2 = ribbon_linalg::sq_dist(a, b);
+        let r2 = sq_dist(a, b);
         self.variance
             * (1.0 + r2 / (2.0 * self.alpha * self.length_scale * self.length_scale))
                 .powf(-self.alpha)

@@ -236,6 +236,23 @@ impl<K: Kernel> GaussianProcess<K> {
         &self.x
     }
 
+    /// Training inputs after [`Kernel::prepare`] — the rows every prediction evaluates
+    /// the kernel against.
+    pub fn prepared_inputs(&self) -> &[Vec<f64>] {
+        &self.x_prepared
+    }
+
+    /// The weights `α = (K + σ_n² I)⁻¹ (y − m)` of the posterior mean.
+    pub fn alpha(&self) -> &[f64] {
+        &self.alpha
+    }
+
+    /// Cholesky factor `L` of the (noise- and jitter-augmented) kernel matrix, the
+    /// triangle the posterior variance solves against.
+    pub fn factor(&self) -> &Cholesky {
+        &self.chol
+    }
+
     /// Incorporates one new observation in O(n²) instead of the O(n³) full refit, leaving
     /// the GP in the state [`GaussianProcess::fit`] would produce for the extended dataset —
     /// **bit-identically** in the common (jitter-free) case:
@@ -321,41 +338,6 @@ impl<K: Kernel> GaussianProcess<K> {
 
     /// Posterior mean and variance at a query point.
     pub fn predict(&self, q: &[f64]) -> Result<Posterior, GpError> {
-        let n = self.x.len();
-        let mut k_star = vec![0.0; n];
-        let mut v = vec![0.0; n];
-        self.predict_with_buffers(q, &mut k_star, &mut v)
-    }
-
-    /// Batch prediction over many query points.
-    ///
-    /// Produces exactly the posteriors [`GaussianProcess::predict`] would return for each
-    /// point, but computes each cross-kernel row once into a shared buffer, prepares every
-    /// query point a single time (one integer-rounding pass per point for [`Rounded`]
-    /// kernels instead of one per kernel evaluation), and reuses one scratch vector for all
-    /// the forward solves — no per-candidate allocations. This is the acquisition
-    /// maximization hot path: the BO optimizer scores every open lattice point through it.
-    ///
-    /// [`Rounded`]: crate::kernel::Rounded
-    pub fn predict_many(&self, qs: &[Vec<f64>]) -> Result<Vec<Posterior>, GpError> {
-        let n = self.x.len();
-        let mut k_star = vec![0.0; n];
-        let mut v = vec![0.0; n];
-        let mut out = Vec::with_capacity(qs.len());
-        for q in qs {
-            out.push(self.predict_with_buffers(q, &mut k_star, &mut v)?);
-        }
-        Ok(out)
-    }
-
-    /// Shared single-point posterior computation writing intermediates into caller-owned
-    /// buffers (each of length `self.len()`).
-    fn predict_with_buffers(
-        &self,
-        q: &[f64],
-        k_star: &mut [f64],
-        v: &mut [f64],
-    ) -> Result<Posterior, GpError> {
         if q.len() != self.dim {
             return Err(GpError::QueryDimensionMismatch {
                 expected: self.dim,
@@ -363,15 +345,19 @@ impl<K: Kernel> GaussianProcess<K> {
             });
         }
         let q_prepared = self.kernel.prepare(q);
-        for (ks, xp) in k_star.iter_mut().zip(&self.x_prepared) {
-            *ks = self.kernel.eval_prepared(xp, &q_prepared);
-        }
-        let mean = self.prior_mean + ribbon_linalg::dot(k_star, &self.alpha);
+        let k_star: Vec<f64> = self
+            .x_prepared
+            .iter()
+            .map(|xp| self.kernel.eval_prepared(xp, &q_prepared))
+            .collect();
+        let mean = self.prior_mean + ribbon_linalg::dot(&k_star, &self.alpha);
         // v = L⁻¹ k*; var = k(q,q) − vᵀv
-        self.chol
-            .solve_lower_into(k_star, v)
+        let v = self
+            .chol
+            .solve_lower(&k_star)
             .map_err(GpError::Factorization)?;
-        let variance = (self.kernel.diag_prepared(&q_prepared) - ribbon_linalg::dot(v, v)).max(0.0);
+        let variance =
+            (self.kernel.diag_prepared(&q_prepared) - ribbon_linalg::dot(&v, &v)).max(0.0);
         if !mean.is_finite() || !variance.is_finite() {
             return Err(GpError::NonFinite);
         }
@@ -721,18 +707,6 @@ mod tests {
             gp.append_observation(vec![1.0, 2.0], f64::INFINITY),
             Err(GpError::NonFinite)
         ));
-    }
-
-    #[test]
-    fn predict_many_matches_individual_predictions() {
-        let x = xs_1d(&[0.0, 1.0, 2.0]);
-        let y = vec![0.1, 0.9, 0.4];
-        let gp = GaussianProcess::fit(Matern52::new(1.0, 1.5), x, y, GpConfig::default()).unwrap();
-        let qs = xs_1d(&[0.5, 1.5, 3.0]);
-        let batch = gp.predict_many(&qs).unwrap();
-        for (q, b) in qs.iter().zip(&batch) {
-            assert_eq!(*b, gp.predict(q).unwrap());
-        }
     }
 
     #[test]

@@ -203,7 +203,8 @@ pub struct FleetReport {
 
 /// Joint lattices beyond this many points skip the BO refinement stage (the candidate
 /// set alone would be hundreds of megabytes); the deterministic pooling candidates and
-/// the greedy descent carry the search there.
+/// the greedy descent carry the search there. Single-model scenarios reject explicit
+/// `evaluator.bounds` past the same size at compile time.
 pub const JOINT_BO_LATTICE_CAP: u64 = 2_000_000;
 
 /// The RIBBON fleet planner (the only implementation today; the trait keeps the CLI and
@@ -460,12 +461,9 @@ impl RibbonFleetPlanner {
     ) -> (Vec<FleetEvaluation>, bool) {
         let settings = &fleet.search;
         let bounds = evaluator.bounds().to_vec();
-        let lattice_points: u64 = bounds
-            .iter()
-            .map(|&b| b as u64 + 1)
-            .product::<u64>()
-            .saturating_sub(1);
-        let bo_refinement_skipped = lattice_points > JOINT_BO_LATTICE_CAP;
+        let bo_refinement_skipped = ConfigLattice::new(bounds.clone())
+            .checked_len()
+            .is_none_or(|points| points as u64 > JOINT_BO_LATTICE_CAP);
         let mut bo = (!bo_refinement_skipped).then(|| {
             BoOptimizer::new(
                 ConfigLattice::new(bounds.clone()),

@@ -69,8 +69,10 @@ pub use spec::{
 };
 
 use crate::evaluator::{ConfigEvaluator, EvaluatorSettings};
+use crate::fleet::JOINT_BO_LATTICE_CAP;
 use crate::online::{OnlineControllerSettings, OnlineRunSettings};
 use crate::search::RibbonSettings;
+use ribbon_bo::ConfigLattice;
 use ribbon_cloudsim::{
     AdmissionClass, Catalog, DeadlinePolicy, MeanLatencyPolicy, PhasedArrivalProcess,
     PhasedStreamConfig, QosPolicy, QosTarget, RatePhase, TierSet, TierSpec, WindowConfig,
@@ -421,6 +423,22 @@ impl ScenarioSpec {
                     "evaluator.bounds",
                     "at least one bound must be positive",
                 ));
+            }
+            // The planner enumerates and scans the whole lattice, so its size is bounded
+            // here rather than discovered as an allocation failure at run time.
+            match ConfigLattice::new(bounds.clone()).checked_len() {
+                Some(points) if points as u64 <= JOINT_BO_LATTICE_CAP => {}
+                points => {
+                    let count =
+                        points.map_or_else(|| "too many to count".to_string(), |p| p.to_string());
+                    return Err(ScenarioError::invalid(
+                        "evaluator.bounds",
+                        format!(
+                            "the lattice has {count} configurations; at most \
+                             {JOINT_BO_LATTICE_CAP} can be searched"
+                        ),
+                    ));
+                }
             }
             settings.explicit_bounds = Some(bounds.clone());
         }
@@ -834,6 +852,16 @@ bounds = [4, 2, 4]
         let cases: Vec<(&str, &str, &str)> = vec![
             ("model = \"MT-WND\"", "model = \"GPT-5\"", "workload.model"),
             ("bounds = [4, 2, 4]", "bounds = [4, 2]", "evaluator.bounds"),
+            (
+                "bounds = [4, 2, 4]",
+                "bounds = [4000000000, 4000000000, 4000000000]",
+                "evaluator.bounds",
+            ),
+            (
+                "bounds = [4, 2, 4]",
+                "bounds = [1000, 1000, 1000]",
+                "evaluator.bounds",
+            ),
             ("budget = 4", "budget = 0", "planner.budget"),
             (
                 "num_queries = 600",
